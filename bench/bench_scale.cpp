@@ -2,10 +2,11 @@
 // path-set layout vs the legacy pointer-heavy layout, 1k → 50k nodes
 // (DESIGN.md §14).
 //
-// At these sizes the all-pairs RoutingTable (n BFS trees) is the memory
-// wall, not the kernels, so paths are built bench-locally from per-client
-// BFS trees with a capped candidate-host pool — the same one-tree-per-source
-// route shape ProblemInstance uses, at any n. Three representations of the
+// At these sizes a ProblemInstance would route and intern every client to
+// every candidate host, which costs more than the kernels under study, so
+// paths are built bench-locally from per-client BFS trees with a capped
+// candidate-host pool — the same one-tree-per-source route shape
+// ProblemInstance uses, at any n. Three representations of the
 // identical path sets are measured on the two objectives that dominate
 // Algorithm 2 (coverage and k = 1 distinguishability):
 //

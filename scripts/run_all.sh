@@ -11,11 +11,12 @@ TSAN_SUITES="test_thread_pool test_greedy test_lazy_greedy test_determinism \
   test_engine test_engine_stress test_dynamic test_dynamic_engine \
   test_engine_trace test_api test_stream test_metrics_text \
   test_path_arena test_kernels test_stochastic test_cascade test_shard \
-  test_algorithm_registry test_portfolio"
+  test_algorithm_registry test_portfolio test_routing test_routing_lazy"
 ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_dynamic test_dynamic_engine test_engine_trace test_api test_stream \
   test_metrics_text test_path_arena test_kernels test_stochastic \
-  test_cascade test_shard test_algorithm_registry test_portfolio"
+  test_cascade test_shard test_algorithm_registry test_portfolio \
+  test_routing test_routing_lazy"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio"
@@ -32,15 +33,16 @@ require_suites() {
 
 # TSan pass over the concurrency-sensitive suites: the thread pool itself,
 # the parallel placement engines (greedy / lazy greedy / brute force), the
-# serving engine (snapshot registry, result cache, admission control), and
-# the dynamic-topology subsystem (incremental derives, placement repair).
+# serving engine (snapshot registry, result cache, admission control), the
+# dynamic-topology subsystem (incremental derives, placement repair), and the
+# on-demand routing table (racing first touches of one root's tree).
 cmake -B build-tsan -G Ninja -DSPLACE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-tsan --target $TSAN_SUITES
 require_suites build-tsan $TSAN_SUITES
 ctest --test-dir build-tsan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Routing"
 
 # ASan pass over the serving layer: the engine moves results through
 # futures, a shared LRU cache, and snapshots that share routing trees and
@@ -51,7 +53,7 @@ cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Routing"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.

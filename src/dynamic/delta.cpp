@@ -134,6 +134,8 @@ std::shared_ptr<const ProblemInstance> derive_instance(
     DeriveStats* stats) {
   if (delta.empty()) bad("empty delta");
   bool full_rebuild = false;
+  // Builds only the parent's trees at the mutated endpoints and their
+  // neighbours; the child builds its affected clients' trees on demand.
   RoutingTable routing =
       parent.routing().update(updated_graph, delta, 0.5, &full_rebuild);
 

@@ -66,8 +66,8 @@ std::vector<Service> apply_delta(const std::vector<Service>& services,
 
 /// Reuse telemetry for one derive_instance call.
 struct DeriveStats {
-  std::size_t trees_total = 0;      ///< BFS trees in the routing table
-  std::size_t trees_reused = 0;     ///< shared with the parent instance
+  std::size_t trees_total = 0;      ///< routing roots (one cell per node)
+  std::size_t trees_reused = 0;     ///< cells shared with the parent, built or not
   std::size_t services_total = 0;
   std::size_t services_reused = 0;  ///< whole per-service plan shared
   std::size_t path_sets_reused = 0;

@@ -1,8 +1,9 @@
 // Immutable topology snapshots for the serving engine.
 //
 // Building a ProblemInstance is the expensive part of answering any
-// placement/evaluation/localization request: it runs all-pairs BFS routing
-// and materializes every candidate path set. A TopologySnapshot freezes one
+// placement/evaluation/localization request: it builds each client's BFS
+// tree, routes every client to every candidate host and materializes the
+// candidate path sets. A TopologySnapshot freezes one
 // such instance behind a shared_ptr so an arbitrary number of concurrent
 // requests can read it without recomputing routing, and the SnapshotRegistry
 // deduplicates snapshots by a content hash of (graph, services) — two

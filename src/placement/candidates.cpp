@@ -15,17 +15,14 @@ DistanceProfile distance_profile(const RoutingTable& routing,
   bool any_reachable = false;
   profile.d_min = kUnreachable;
   profile.d_max = 0;
-  for (NodeId h = 0; h < n; ++h) {
-    std::uint32_t worst = 0;
-    for (NodeId c : clients) {
-      const std::uint32_t d = routing.distance(c, h);
-      if (d == kUnreachable) {
-        worst = kUnreachable;
-        break;
-      }
-      worst = std::max(worst, d);
-    }
-    profile.worst[h] = worst;
+  // One pass per client over its own tree (kUnreachable is the largest
+  // value, so the running max marks any host some client cannot reach).
+  for (NodeId c : clients) {
+    const std::vector<std::uint32_t>& dist = routing.tree(c).dist;
+    for (NodeId h = 0; h < n; ++h)
+      profile.worst[h] = std::max(profile.worst[h], dist[h]);
+  }
+  for (const std::uint32_t worst : profile.worst) {
     if (worst != kUnreachable) {
       any_reachable = true;
       profile.d_min = std::min(profile.d_min, worst);

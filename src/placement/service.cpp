@@ -140,8 +140,9 @@ ProblemInstance ProblemInstance::derived(const ProblemInstance& parent,
       continue;
     }
 
-    // P(C_s, h) routes each pair from the tree rooted at min(c, h); the set
-    // is unchanged when all of those trees are.
+    // P(C_s, h) routes each pair as the tree rooted at min(c, h) would
+    // (route(c, h) reproduces that route from tree(c)); the set is
+    // unchanged when all of those trees are. Comparing cells builds none.
     const std::shared_ptr<const ServicePlan>& pp = parent.plans_[s];
     std::vector<bool> host_dirty(pp->candidates.size(), false);
     bool any_dirty = false;

@@ -78,8 +78,9 @@ struct DerivedBuildStats {
 /// paths precomputed.
 class ProblemInstance {
  public:
-  /// Builds routing, candidate sets H_s, and the path sets P(C_s, h) for
-  /// every s and h ∈ H_s. Requires ≥1 service, every client a valid node,
+  /// Builds candidate sets H_s and the path sets P(C_s, h) for every s and
+  /// h ∈ H_s. Routing is on demand and every route is read client first, so
+  /// only the distinct clients' BFS trees get built. Requires ≥1 service, every client a valid node,
   /// every service's clients mutually reachable through some host, and
   /// every α_s in [0, 1]. Uses deterministic hop-count shortest paths.
   ProblemInstance(Graph graph, std::vector<Service> services);
@@ -148,7 +149,8 @@ class ProblemInstance {
   NodeId best_qos_host(std::size_t s) const;
 
   /// The route this instance's routing assigns to a pair (the custom
-  /// provider when one was given, hop-count shortest path otherwise).
+  /// provider when one was given, hop-count shortest path otherwise). Pass
+  /// the client first: default routing reads only the tree rooted at `a`.
   /// Requires the pair to be connected under that routing.
   std::vector<NodeId> route(NodeId a, NodeId b) const;
 

@@ -20,6 +20,10 @@ bool IspSpec::feasible() const {
   return true;
 }
 
+std::ostream& operator<<(std::ostream& os, const IspSpec& spec) {
+  return os << spec.name;
+}
+
 TopologyStats stats_of(const Graph& g) {
   TopologyStats s;
   s.nodes = g.node_count();

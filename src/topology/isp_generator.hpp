@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -35,6 +36,11 @@ struct IspSpec {
   /// True iff a graph matching this spec can exist.
   bool feasible() const;
 };
+
+/// Prints the spec's name. Gives the spec a stable textual form (gtest uses
+/// it for parameter names), where the default byte dump would expose the
+/// address of the name's heap buffer.
+std::ostream& operator<<(std::ostream& os, const IspSpec& spec);
 
 /// Generates a connected graph matching `spec` exactly (#nodes, #links,
 /// #degree-1 nodes). Dangling nodes occupy the highest ids
